@@ -56,20 +56,22 @@ class LocalCluster:
         self.membership = frozenset(make_membership(n))
         self.f = f
         self.detector_kind = detector
-        from ..detectors import PACING_PARAMS, get_detector
+        from ..detectors import PACING_PARAMS, DetectorMode, get_detector
 
         self.hub = MemoryHub(latency=latency, loss_rate=loss_rate, seed=seed)
         params = dict(detector_params) if detector_params is not None else {}
+        spec = get_detector(detector)
         # Pacing resolution: an explicit `pacing` wins (from_registry raises
-        # if detector_params also carries pacing knobs).  Otherwise pacing
-        # knobs in detector_params are merged over LocalCluster's classic
-        # real-time default (20 ms grace) — setting one knob must not reset
-        # the others to the registry's simulated-seconds defaults.
-        if pacing is None:
+        # if detector_params also carries pacing knobs, or if the family is
+        # timed and has no rounds to pace).  Otherwise a query family's
+        # pacing knobs in detector_params are merged over LocalCluster's
+        # classic real-time default (20 ms grace) — setting one knob must
+        # not reset the others to the registry's simulated-seconds defaults.
+        if pacing is None and spec.mode is DetectorMode.QUERY:
             knobs = {
                 name: params.pop(name)
                 for name in PACING_PARAMS
-                if name in params and name in get_detector(detector).param_names()
+                if name in params and name in spec.param_names()
             }
             pacing = ServicePacing(
                 grace=knobs.get("grace", 0.02),

@@ -130,6 +130,8 @@ class DetectorService:
         (``grace``/``idle``/``retry``) become the service's
         :class:`ServicePacing`; passing both those knobs and an explicit
         ``pacing`` is a configuration error (one would silently win).
+        Timed families run no query rounds, so any ``pacing`` for them is
+        a configuration error too (it would be silently ignored).
         """
         from ..detectors import (
             PACING_PARAMS,
@@ -140,11 +142,12 @@ class DetectorService:
         )
 
         spec = get_detector(detector)
-        if (
-            pacing is not None
-            and spec.mode is DetectorMode.QUERY
-            and any(name in params for name in PACING_PARAMS)
-        ):
+        if pacing is not None and spec.mode is not DetectorMode.QUERY:
+            raise ConfigurationError(
+                f"pacing= paces query rounds; detector {detector!r} is a "
+                f"{spec.mode.name.lower()} family and would ignore it"
+            )
+        if pacing is not None and any(name in params for name in PACING_PARAMS):
             raise ConfigurationError(
                 f"pass either pacing= or the {list(PACING_PARAMS)} params "
                 f"for detector {detector!r}, not both"
@@ -161,9 +164,7 @@ class DetectorService:
             service = cls(config, transport, pacing=pacing, core=built.core)
             service._elector = built.elector
             return service
-        return cls(
-            config, transport, pacing=pacing or ServicePacing(), core=built.core
-        )
+        return cls(config, transport, core=built.core)
 
     # -- observation ---------------------------------------------------------
     @property

@@ -30,7 +30,6 @@ from .latency import (
     TimeAwareLatency,
     UniformLatency,
 )
-from .monitors import MessagePatternMonitor
 from .network import SimNetwork
 from .node import QueryPacing, QueryResponseDriver, SimProcess, TimedDriver
 from .rng import RngStreams
@@ -46,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "LatencyModel",
     "LogNormalLatency",
-    "MessagePatternMonitor",
     "MobilityFault",
     "PairwiseLatency",
     "ParetoLatency",

@@ -181,6 +181,29 @@ class TestLocalClusterPacing:
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             run(scenario())
 
+    @pytest.mark.parametrize("detector", sorted(TIMED_PARAMS))
+    def test_explicit_pacing_for_timed_families_is_rejected(self, detector):
+        """A timed family runs no query rounds: pacing= must not be kept."""
+        pacing = ServicePacing(grace=0.5, retry=1.0)
+
+        async def via_registry():
+            hub = MemoryHub()
+            config = DetectorConfig.for_process(1, (1, 2, 3), 1)
+            DetectorService.from_registry(
+                detector, config, hub.create_transport(1),
+                pacing=pacing, **TIMED_PARAMS[detector],
+            )
+
+        async def via_cluster():
+            LocalCluster(
+                n=3, f=1, detector=detector,
+                detector_params=TIMED_PARAMS[detector], pacing=pacing,
+            )
+
+        for scenario in (via_registry, via_cluster):
+            with pytest.raises(ConfigurationError, match="would ignore it"):
+                run(scenario())
+
 
 class TestLocalClusterDetectorAxis:
     def test_heartbeat_cluster_end_to_end(self):

@@ -1,10 +1,10 @@
-"""The timer wheel pinned to the heap backend, its behavioural oracle.
+"""The timer wheel pinned to the heap scheduler, its behavioural oracle.
 
-``Scheduler(backend="heap")`` is the audited reference implementation kept
-for differential debugging (see docs/engine.md).  Hypothesis drives both
-backends through identical operation scripts — interleaved ``schedule_at``
-/ ``schedule_after`` / ``schedule_batch`` / ``cancel`` / ``run`` calls,
-including zero-delay rescheduling chains, mid-callback cancellations, and
+``tests/oracles/heap_scheduler.HeapScheduler`` is the audited reference
+implementation kept for differential debugging (see docs/engine.md).
+Hypothesis drives both schedulers through identical operation scripts —
+interleaved ``schedule_at`` / ``schedule_after`` / ``schedule_batch`` /
+``cancel`` / ``run`` calls, including zero-delay rescheduling chains, mid-callback cancellations, and
 ``max_events``-truncated run segments — and every observable must match:
 the fire sequence (tag and clock stamp), each ``run`` call's return value,
 and the clock trajectory between segments.
@@ -14,7 +14,7 @@ Two invariants get dedicated suites on top of the oracle comparison:
 * same-tick ordering — events inside one wheel slot fire in exact
   ``(time, seq)`` order, so batching never reorders ties;
 * ``max_events`` breaks leave ``now`` monotone and never past a pending
-  event (the PR 3 heap regression, generalised to both backends).
+  event (an early heap regression, generalised to both schedulers).
 
 The zero-allocation tripwire at the bottom reads the module-global
 ``_EVENTS_CREATED`` counter around a steady-state run: once the freelist
@@ -24,11 +24,16 @@ is warm, re-arming timers and rescheduling chains must create no new
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import engine
 from repro.sim.engine import Scheduler
+
+from ..oracles.heap_scheduler import HeapScheduler
+
+#: the schedulers under comparison, by name (names label assertion messages)
+_SCHEDULERS = {"wheel": Scheduler, "heap": HeapScheduler}
 
 # -- operation scripts ----------------------------------------------------
 
@@ -70,7 +75,7 @@ _OPS = st.lists(
 
 def _interpret(backend: str, ops) -> list:
     """Run one operation script and return every observable it produced."""
-    s = Scheduler(backend=backend)
+    s = _SCHEDULERS[backend]()
     log: list = []
     handles: list = []
     pending: dict[int, float] = {}  # tag -> scheduled time, while live
@@ -89,7 +94,7 @@ def _interpret(backend: str, ops) -> list:
                 tag_box[0] += 1
                 tag = tag_box[0]
                 pending[tag] = s.now + delay
-                handles.append(s.schedule_after(delay, chained, tag) if delay else s.schedule_at(s.now, chained, tag))
+                track(s.schedule_after(delay, chained, tag) if delay else s.schedule_at(s.now, chained, tag), tag)
 
         return chained
 
@@ -154,7 +159,7 @@ def _interpret(backend: str, ops) -> list:
             n = s.run(until=horizon, max_events=op[2])
             log.append(("ran", n))
             log.append(("now", round(s.now, 9)))
-            # The PR 3 regression, generalised: a `max_events` (or
+            # The early heap regression, generalised: a `max_events` (or
             # `until`) break must never advance the clock past an event
             # that is still due — time would run backwards when it fires.
             if pending:
@@ -163,7 +168,7 @@ def _interpret(backend: str, ops) -> list:
                     s.now,
                     min(pending.values()),
                 )
-    # Final drain: everything still outstanding fires in both backends.
+    # Final drain: everything still outstanding fires in both schedulers.
     n = s.run(until=s.now + 2000.0)
     log.append(("ran", n))
     log.append(("now", round(s.now, 9)))
@@ -173,6 +178,9 @@ def _interpret(backend: str, ops) -> list:
 class TestWheelMatchesHeapOracle:
     @settings(max_examples=80, deadline=None)
     @given(ops=_OPS)
+    # A canceller that cancels a chain-rescheduled event: the script must
+    # track chain handles too, or the pending-event check misreads it.
+    @example(ops=[("at", 0.0), ("chain", 0.0, 1, 0.0), ("cancel_in", 0.0, 3), ("run", 0.0001, None)])
     def test_identical_observables(self, ops):
         wheel = _interpret("wheel", ops)
         heap = _interpret("heap", ops)
@@ -190,8 +198,8 @@ class TestSameTickOrdering:
         base=st.integers(min_value=0, max_value=5),
     )
     def test_one_slot_fires_in_time_then_seq_order(self, jitters, base):
-        for backend in ("wheel", "heap"):
-            s = Scheduler(backend=backend)
+        for backend, make in _SCHEDULERS.items():
+            s = make()
             t0 = base * 0.37
             fired: list[int] = []
             expected = sorted(

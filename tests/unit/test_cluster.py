@@ -33,6 +33,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             SimCluster(n=3, driver_factory=factory(), fault_plan=plan)
 
+    @pytest.mark.parametrize("selector", ["latency_backend", "trace_backend"])
+    def test_takes_no_backend_selector(self, selector):
+        with pytest.raises(TypeError):
+            SimCluster(n=3, driver_factory=factory(), **{selector: "python"})
+
     def test_default_latency_is_one_millisecond(self):
         cluster = SimCluster(n=3, driver_factory=factory())
         assert isinstance(cluster.latency, ConstantLatency)

@@ -210,3 +210,59 @@ class TestSampleMany:
     def test_empty_destination_list(self):
         assert ConstantLatency(0.5).sample_many(random.Random(1), 1, [], 0.0) == []
         assert ExponentialLatency(0.01).sample_many(random.Random(1), 1, [], 0.0) == []
+
+
+class TestBatchDistribution:
+    """The batch path (``sample_many``) is the one the cluster broadcasts
+    through; its draws must follow each model's stated distribution."""
+
+    DSTS = tuple(range(2, 12))  # 10 destinations per sample_many call
+    MODELS = [
+        ConstantLatency(0.002, jitter=0.004),
+        UniformLatency(0.001, 0.009),
+        ExponentialLatency(0.003, floor=0.001),
+        LogNormalLatency(0.002, sigma=0.8, floor=0.0005),
+        ParetoLatency(0.001, shape=3.0),
+    ]
+
+    def draw_batches(self, model, *, seed=7, now=0.0, rounds=4000):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(rounds):
+            out.extend(model.sample_many(rng, 1, self.DSTS, now))
+        return out
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_batch_mean_matches_the_analytic_mean(self, model):
+        delays = self.draw_batches(model)
+        # 40k draws: 5% is many standard errors for every model here.
+        assert sum(delays) / len(delays) == pytest.approx(model.mean(), rel=0.05)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_batch_delays_are_positive(self, model):
+        assert min(self.draw_batches(model, rounds=200)) > 0.0
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_same_seed_draws_identical_batches(self, model):
+        assert self.draw_batches(model, rounds=50) == self.draw_batches(model, rounds=50)
+
+    def test_lognormal_batch_median_is_the_parameter(self):
+        delays = sorted(self.draw_batches(LogNormalLatency(0.002, sigma=1.0)))
+        assert delays[len(delays) // 2] == pytest.approx(0.002, rel=0.08)
+
+    def test_biased_batch_speeds_up_favored_destinations_only(self):
+        model = BiasedLatency(ConstantLatency(0.004), frozenset({3}), speedup=4.0)
+        delays = model.sample_many(random.Random(1), 1, (2, 3, 4), 0.0)
+        assert delays == pytest.approx([0.004, 0.001, 0.004])
+
+    def test_biased_batch_from_a_favored_sender_is_fast_everywhere(self):
+        model = BiasedLatency(ConstantLatency(0.004), frozenset({1}), speedup=2.0)
+        delays = model.sample_many(random.Random(1), 1, (2, 3), 0.0)
+        assert delays == pytest.approx([0.002, 0.002])
+
+    def test_regime_shift_batch_scales_from_the_shift_on(self):
+        model = RegimeShiftLatency(ConstantLatency(0.002), shift_at=10.0, factor=5.0)
+        before = model.sample_many(random.Random(1), 1, (2, 3), 9.9)
+        after = model.sample_many(random.Random(1), 1, (2, 3), 10.0)
+        assert before == pytest.approx([0.002, 0.002])
+        assert after == pytest.approx([0.010, 0.010])

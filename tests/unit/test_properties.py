@@ -21,6 +21,11 @@ class FakeRound:
     winners: frozenset
 
 
+@dataclass(frozen=True)
+class GraceRound(FakeRound):
+    responders: tuple
+
+
 def round_of(querier, round_id, winners):
     return FakeRound(querier, round_id, frozenset(winners))
 
@@ -54,6 +59,16 @@ class TestSuffixWins:
     def test_suffix_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             responder_wins_suffix([], 9, suffix=0)
+
+    def test_a_late_loss_breaks_the_suffix(self):
+        rounds = [round_of(1, i, {1, 9}) for i in range(1, 5)] + [round_of(1, 5, {1})]
+        assert not responder_wins_suffix(rounds, 9, suffix=1)
+
+    def test_non_strict_counts_grace_extras(self):
+        # 9 responded, but only after the first-quorum winner set closed.
+        rounds = [GraceRound(1, 1, frozenset({1, 2}), (1, 2, 9))]
+        assert not responder_wins_suffix(rounds, 9, suffix=1)
+        assert responder_wins_suffix(rounds, 9, suffix=1, strict=False)
 
 
 class TestMPWitness:
@@ -119,6 +134,61 @@ class TestMPWitness:
     def test_scope_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             find_mp_witness([], f=1, correct=[1], scope=0)
+
+    def test_suffix_is_checked_per_querier(self):
+        # Querier 2 has too short a history to certify 9; querier 1 alone
+        # is not enough for f = 1.
+        rounds = [round_of(1, i, {1, 9}) for i in range(1, 5)]
+        rounds += [round_of(2, 1, {2, 9})]
+        assert find_mp_witness(rounds, f=1, correct=[1, 2, 9], min_suffix=3) is None
+        rounds += [round_of(2, i, {2, 9}) for i in (2, 3)]
+        witness = find_mp_witness(rounds, f=1, correct=[1, 2, 9], min_suffix=3)
+        assert witness is not None
+        assert witness.responder == 9 and witness.suffix == 3
+
+
+def run_time_free(latency):
+    from repro.sim import QueryPacing, SimCluster
+    from repro.sim.cluster import time_free_driver_factory
+
+    cluster = SimCluster(
+        n=6,
+        driver_factory=time_free_driver_factory(2, QueryPacing(grace=0.01, idle=0.05)),
+        latency=latency,
+        seed=3,
+        start_stagger=0.05,
+    )
+    cluster.run(until=10.0)
+    return cluster
+
+
+class TestOnARecordedRun:
+    """The checker applied to a simulated run's trace, as F3 uses it."""
+
+    def test_a_fast_process_is_the_witness(self):
+        from repro.sim import UniformLatency
+        from repro.sim.latency import BiasedLatency
+
+        latency = BiasedLatency(
+            UniformLatency(0.001, 0.02), frozenset({1}), speedup=8.0, bidirectional=True
+        )
+        cluster = run_time_free(latency)
+        rounds = cluster.trace.rounds
+        assert len(rounds) > 50
+        witness = find_mp_witness(
+            rounds, f=2, correct=cluster.correct_processes(), min_suffix=5
+        )
+        assert witness is not None and witness.responder == 1
+        assert winning_ratio(rounds, 1) == 1.0
+
+    def test_unbiased_delays_give_no_witness(self):
+        from repro.sim import UniformLatency
+
+        cluster = run_time_free(UniformLatency(0.001, 0.02))
+        witness = find_mp_witness(
+            cluster.trace.rounds, f=2, correct=cluster.correct_processes(), min_suffix=5
+        )
+        assert witness is None
 
 
 class TestResponsiveProcesses:

@@ -1,14 +1,12 @@
 """Unit tests for the declarative experiment-spec additions of the fault
 plane: optional axes (byte-invisible until opted in), expected-shape
-declarations, omit-default params serialisation, and the epoch-aware
-exclusion hook on the MP monitor."""
+declarations and omit-default params serialisation."""
 
 from dataclasses import dataclass, field
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core.protocol import QueryRoundOutcome
 from repro.experiments.api import (
     Banded,
     ExperimentSpec,
@@ -19,8 +17,6 @@ from repro.experiments.api import (
     check_shapes,
 )
 from repro.harness.spec import params_to_dict
-from repro.sim.faults import FaultPlan, RecoveryFault
-from repro.sim.monitors import MessagePatternMonitor
 
 
 @dataclass(frozen=True)
@@ -149,47 +145,3 @@ class TestShapes:
         values = [{"p": 2.0, "m": 3.0}, {"p": 0.5, "m": 1.0}]
         violations = check_shapes(spec, params, values)
         assert len(violations) == 2
-
-
-def certify(monitor, responder, queriers, rounds):
-    """Feed enough winning rounds for ``responder`` to build streaks."""
-    for round_id in range(rounds):
-        for querier in queriers:
-            monitor.observe(
-                querier,
-                QueryRoundOutcome(
-                    round_id=round_id,
-                    responders=(querier, responder),
-                    winners=frozenset({querier, responder}),
-                    newly_suspected=(),
-                    counter_after=0,
-                    suspects_after=frozenset(),
-                ),
-            )
-
-
-class TestMonitorEpochExclusion:
-    def make_monitor(self):
-        monitor = MessagePatternMonitor((1, 2, 3, 4), f=1, min_streak=3)
-        certify(monitor, responder=2, queriers=(1, 3), rounds=3)
-        return monitor
-
-    def test_witness_without_plan(self):
-        monitor = self.make_monitor()
-        witness = monitor.current_witness()
-        assert witness is not None and witness.responder == 2
-
-    def test_plan_excludes_down_responder(self):
-        monitor = self.make_monitor()
-        plan = FaultPlan.of(recoveries=[RecoveryFault(2, crash=3.0, recover=7.0)])
-        assert monitor.current_witness(plan=plan, at=5.0) is None
-        assert not monitor.holds(plan=plan, at=5.0)
-        # Before the crash and after the recovery, 2 is a valid witness.
-        for at in (1.0, 8.0):
-            witness = monitor.current_witness(plan=plan, at=at)
-            assert witness is not None and witness.responder == 2
-
-    def test_plan_needs_a_clock_or_instant(self):
-        monitor = self.make_monitor()
-        with pytest.raises(ConfigurationError):
-            monitor.current_witness(plan=FaultPlan.none())

@@ -1,18 +1,21 @@
 """Unit tests for trace recording and timeline queries.
 
-Every query test runs against both stores — the default columnar backend
-and the object-recorder oracle — via the ``trace`` fixture, so the two
-can never drift on the documented semantics.
+Every query test runs against both stores — the product's columnar store
+and the object-recorder oracle (``tests/oracles/object_trace.py``) — via
+the ``trace`` fixture, so the two can never drift on the documented
+semantics.
 """
 
 import pytest
 
 from repro.sim.trace import TraceRecorder
 
+from ..oracles.object_trace import ObjectTraceRecorder
 
-@pytest.fixture(params=["columnar", "object"])
+
+@pytest.fixture(params=[TraceRecorder, ObjectTraceRecorder], ids=["columnar", "object"])
 def trace(request):
-    return TraceRecorder(backend=request.param)
+    return request.param()
 
 
 def record_seq(trace, observer, *events):
@@ -24,11 +27,19 @@ def record_seq(trace, observer, *events):
         previous = suspects
 
 
-class TestSuspicionChanges:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TraceRecorder(backend="parquet")
+class TestOneStore:
+    """The columnar store is the only product store; the object store is a
+    test oracle that plugs in where a ``TraceRecorder`` is expected."""
 
+    def test_recorder_takes_no_backend_selector(self):
+        with pytest.raises(TypeError):
+            TraceRecorder(backend="object")
+
+    def test_object_oracle_is_a_trace_recorder(self):
+        assert isinstance(ObjectTraceRecorder(), TraceRecorder)
+
+
+class TestSuspicionChanges:
     def test_no_op_change_is_dropped(self, trace):
         result = trace.record_suspicion_change(1.0, 1, frozenset({2}), frozenset({2}))
         assert result is None
