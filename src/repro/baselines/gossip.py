@@ -22,6 +22,7 @@ from ..core.effects import Broadcast, Effect
 from ..core.messages import register_message
 from ..errors import ConfigurationError
 from ..ids import ProcessId, validate_membership
+from .deadlines import PeerDeadlines
 
 __all__ = ["GossipHeartbeat", "GossipHeartbeatDetector"]
 
@@ -35,7 +36,7 @@ class GossipHeartbeat:
     vector: tuple[tuple[ProcessId, int], ...]
 
 
-class GossipHeartbeatDetector:
+class GossipHeartbeatDetector(PeerDeadlines):
     """Sans-I/O Friedman-Tcharny core (host with a timed driver)."""
 
     def __init__(
@@ -53,13 +54,11 @@ class GossipHeartbeatDetector:
                 f"timeout must exceed period (Θ > Δ), got Θ={timeout}, Δ={period}"
             )
         members = validate_membership(membership, process_id=process_id)
+        super().__init__(members - {process_id})
         self._pid = process_id
-        self._peers = members - {process_id}
         self.period = period
         self.timeout = timeout
         self._vector: dict[ProcessId, int] = {pid: 0 for pid in members}
-        self._deadlines: dict[ProcessId, float] = {}
-        self._suspected: set[ProcessId] = set()
         self._next_beat: float | None = None
         self._started = False
 
@@ -72,55 +71,42 @@ class GossipHeartbeatDetector:
     def name(self) -> str:
         return "gossip-heartbeat"
 
-    def suspects(self) -> frozenset[ProcessId]:
-        return frozenset(self._suspected)
-
     def heartbeat_vector(self) -> dict[ProcessId, int]:
         return dict(self._vector)
 
     # -- core interface ----------------------------------------------------
     def start(self, now: float) -> list[Effect]:
         self._started = True
-        self._deadlines = {p: now + self.timeout for p in self._peers}
+        self._reset_deadlines({p: now + self.timeout for p in self._peers})
         return self._emit_beat(now)
 
     def on_message(self, now: float, sender: ProcessId, message: object) -> list[Effect]:
         if not isinstance(message, GossipHeartbeat):
             return []
+        vector = self._vector
+        me = self._pid
         for pid, beat in message.vector:
-            if pid not in self._vector or pid == self._pid:
+            if pid not in vector or pid == me:
                 continue
-            if beat > self._vector[pid]:
+            if beat > vector[pid]:
                 # New information about pid (possibly relayed multi-hop):
-                # refresh its timer and clear any suspicion.
-                self._vector[pid] = beat
-                self._deadlines[pid] = now + self.timeout
-                self._suspected.discard(pid)
+                # clear any suspicion, then refresh its timer.
+                vector[pid] = beat
+                self._revive(pid)
+                self._set_deadline(pid, now + self.timeout)
         return []
 
     def on_wakeup(self, now: float) -> list[Effect]:
         effects: list[Effect] = []
         if self._next_beat is not None and now >= self._next_beat:
             effects.extend(self._emit_beat(now))
-        for peer in sorted(self._peers, key=repr):
-            if peer in self._suspected:
-                continue
-            deadline = self._deadlines.get(peer)
-            if deadline is not None and now >= deadline:
-                self._suspected.add(peer)
+        self._expire(now)
         return effects
 
     def next_wakeup(self) -> float | None:
         if not self._started:
             return None
-        candidates = [
-            deadline
-            for peer, deadline in self._deadlines.items()
-            if peer not in self._suspected
-        ]
-        if self._next_beat is not None:
-            candidates.append(self._next_beat)
-        return min(candidates, default=None)
+        return self._earlier_of(self._next_beat)
 
     # ------------------------------------------------------------------
     def _emit_beat(self, now: float) -> list[Effect]:

@@ -25,11 +25,12 @@ from ..core.effects import Broadcast, Effect
 from ..errors import ConfigurationError
 from ..ids import ProcessId, validate_membership
 from .heartbeat import Heartbeat
+from .suspicion import SuspectSet
 
 __all__ = ["PhiAccrualDetector"]
 
 
-class PhiAccrualDetector:
+class PhiAccrualDetector(SuspectSet):
     """Sans-I/O accrual detector core (host with a timed driver).
 
     Emits plain :class:`~repro.baselines.heartbeat.Heartbeat` messages every
@@ -58,6 +59,7 @@ class PhiAccrualDetector:
         if not 0 < eval_fraction <= 1:
             raise ConfigurationError(f"eval_fraction must be in (0, 1], got {eval_fraction}")
         members = validate_membership(membership, process_id=process_id)
+        super().__init__()
         self._pid = process_id
         self._peers = members - {process_id}
         self.period = period
@@ -67,9 +69,10 @@ class PhiAccrualDetector:
         self._windows: dict[ProcessId, deque[float]] = {
             p: deque(maxlen=window_size) for p in self._peers
         }
+        # (mean, std) per peer, dropped whenever its window changes.
+        self._estimates: dict[ProcessId, tuple[float, float]] = {}
         self._last_arrival: dict[ProcessId, float] = {}
         self._last_seq: dict[ProcessId, int] = {}
-        self._suspected: set[ProcessId] = set()
         self._seq = 0
         self._next_beat: float | None = None
         self._next_eval: float | None = None
@@ -84,9 +87,6 @@ class PhiAccrualDetector:
     def name(self) -> str:
         return f"phi-accrual(t={self.threshold})"
 
-    def suspects(self) -> frozenset[ProcessId]:
-        return frozenset(self._suspected)
-
     # -- the accrual estimator ---------------------------------------------
     def phi(self, peer: ProcessId, now: float) -> float:
         """Current suspicion level of ``peer`` (0 when no beat seen yet)."""
@@ -94,21 +94,27 @@ class PhiAccrualDetector:
         if last is None:
             return 0.0
         elapsed = now - last
-        mean, std = self._interval_estimate(peer)
+        mean, std = self._estimates.get(peer) or self._interval_estimate(peer)
         p_later = _normal_tail(elapsed, mean, max(std, self.min_std))
         if p_later <= 0.0:
             return math.inf
         return -math.log10(p_later)
 
     def _interval_estimate(self, peer: ProcessId) -> tuple[float, float]:
+        # Computed on a cache miss and kept until the next window append.
+        # The same sums every time, never running sums: those round
+        # differently and would move phi.
         window = self._windows[peer]
         if len(window) < 2:
             # Bootstrap: assume the configured period with generous spread,
             # mirroring Akka's first-heartbeat estimate.
-            return self.period, self.period / 2.0
-        mean = sum(window) / len(window)
-        variance = sum((x - mean) ** 2 for x in window) / (len(window) - 1)
-        return mean, math.sqrt(variance)
+            estimate = (self.period, self.period / 2.0)
+        else:
+            mean = sum(window) / len(window)
+            variance = sum((x - mean) ** 2 for x in window) / (len(window) - 1)
+            estimate = (mean, math.sqrt(variance))
+        self._estimates[peer] = estimate
+        return estimate
 
     # -- core interface ----------------------------------------------------
     def start(self, now: float) -> list[Effect]:
@@ -125,8 +131,9 @@ class PhiAccrualDetector:
         last = self._last_arrival.get(sender)
         if last is not None:
             self._windows[sender].append(now - last)
+            self._estimates.pop(sender, None)
         self._last_arrival[sender] = now
-        self._suspected.discard(sender)
+        self._revive(sender)
         return []
 
     def on_wakeup(self, now: float) -> list[Effect]:
@@ -141,8 +148,10 @@ class PhiAccrualDetector:
     def next_wakeup(self) -> float | None:
         if not self._started:
             return None
-        candidates = [t for t in (self._next_beat, self._next_eval) if t is not None]
-        return min(candidates, default=None)
+        beat, evaluation = self._next_beat, self._next_eval
+        if beat is None or (evaluation is not None and evaluation < beat):
+            return evaluation
+        return beat
 
     # ------------------------------------------------------------------
     def _evaluate(self, now: float) -> None:
@@ -150,7 +159,7 @@ class PhiAccrualDetector:
             if peer in self._suspected:
                 continue
             if self.phi(peer, now) >= self.threshold:
-                self._suspected.add(peer)
+                self._suspect(peer)
 
     def _emit_beat(self, now: float) -> list[Effect]:
         self._seq += 1

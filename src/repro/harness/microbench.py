@@ -37,6 +37,13 @@ Workloads:
   ``ConsensusHarness`` run deciding a self-clocked chain of CT-◇S
   instances over a time-free cluster, folded through the decision-ledger
   metrics — the workload the ``c1`` grid scales by.
+* ``timers``  — the timer baselines' event hooks: a heartbeat, a gossip
+  and a phi-accrual core, each one node of a 100-node full mesh, fed
+  their peers' beats with ``TimedDriver``'s call pattern.  Every delivery
+  asks the core for its next deadline and every phi evaluation needs each
+  window's estimate; the committed floor sits above what full deadline
+  scans and per-evaluation window sums sustain, so reverting the
+  incremental baselines trips the gate.
 * ``merge``   — protocol-core hot path: steady-state query merging on an
   n=32 membership where every received record is stale (Algorithm 1
   re-ships the full sets each round), exercising the batched
@@ -401,6 +408,112 @@ def bench_consensus(n: int) -> float:
     return elapsed
 
 
+def bench_timers(n: int) -> float:
+    """Heartbeat, gossip and phi-accrual hooks as one node of a 100-node mesh.
+
+    Each family's core is process 1 of a 100-member full mesh and is fed
+    one beat per peer per period (period 1, arrivals jittered over 0.9 of
+    it) with ``TimedDriver``'s call pattern: ``suspects()`` before and
+    after every event, ``next_wakeup()`` after every delivery, and
+    ``on_wakeup`` whenever the pending wakeup is due.  A gossip vector
+    carries the sender's new beat with every other entry one beat behind,
+    about the one fresh entry per message the default grids show.  Peer
+    100 falls silent when the timed run begins, so every core suspects it
+    there.  The first 100 periods run untimed and fill phi's windows to
+    their 100 samples; the timed run is the next ``max(100, n // 1000)``
+    periods of each core, one after the other.  No simulator runs, so the
+    time is the hooks' own.  Events are the timed deliveries and wakeups.
+    """
+    import random
+
+    from ..baselines import (
+        GossipHeartbeat,
+        GossipHeartbeatDetector,
+        Heartbeat,
+        HeartbeatDetector,
+        PhiAccrualDetector,
+    )
+
+    size = 100
+    warmup = 100
+    periods = max(100, n // 1000)
+    members = frozenset(range(1, size + 1))
+    peers = range(2, size + 1)
+    rng = random.Random(19)
+
+    def beats(first: int, last: int) -> list[tuple[float, int, int]]:
+        """``(arrival, sender, beat)`` of periods ``first`` to ``last - 1``."""
+        arrivals = [
+            (period + rng.random() * 0.9, peer, period + 1)
+            for period in range(first, last)
+            for peer in peers
+            if peer != size or period < warmup
+        ]
+        arrivals.sort()
+        return arrivals
+
+    def heartbeats(arrivals):
+        return [(at, peer, Heartbeat(sender=peer, seq=beat)) for at, peer, beat in arrivals]
+
+    def vectors(arrivals):
+        # the vector of every peer one beat behind, per period; the sender
+        # swaps in its own new beat
+        behind: dict[int, tuple[tuple[int, int], ...]] = {}
+        script = []
+        for at, peer, beat in arrivals:
+            base = behind.get(beat)
+            if base is None:
+                base = behind[beat] = tuple((pid, beat - 1) for pid in peers)
+            at_peer = peer - 2
+            vector = base[:at_peer] + ((peer, beat),) + base[at_peer + 1 :]
+            script.append((at, peer, GossipHeartbeat(sender=peer, vector=vector)))
+        return script
+
+    families = (
+        (lambda: HeartbeatDetector(1, members, period=1.0, timeout=2.5), heartbeats),
+        (lambda: GossipHeartbeatDetector(1, members, period=1.0, timeout=2.5), vectors),
+        (lambda: PhiAccrualDetector(1, members, period=1.0), heartbeats),
+    )
+    runs = []
+    for make_core, messages in families:
+        core = make_core()
+        core.start(0.0)
+        _drive_timed_core(core, messages(beats(0, warmup)))
+        runs.append((core, messages(beats(warmup, warmup + periods))))
+
+    events = 0
+
+    def run() -> None:
+        nonlocal events
+        for core, script in runs:
+            events += _drive_timed_core(core, script)
+
+    elapsed = _timed(run)
+    bench_timers.events = events  # type: ignore[attr-defined]
+    return elapsed
+
+
+def _drive_timed_core(core: Any, script: list[tuple[float, int, object]]) -> int:
+    """Feed ``script`` to a timed core as ``TimedDriver`` would; count events."""
+    events = 0
+    suspects = core.suspects
+    next_wakeup = core.next_wakeup
+    for at, sender, message in script:
+        due = next_wakeup()
+        while due is not None and due <= at:
+            suspects()  # the snapshots the driver takes around each event
+            core.on_wakeup(due)
+            suspects()
+            events += 1
+            due = next_wakeup()
+        suspects()
+        core.on_message(at, sender, message)
+        suspects()
+        next_wakeup()
+        events += 1
+    return events
+
+
 def bench_merge(n: int) -> float:
     """Protocol-core hot path: steady-state query merging, all records stale.
 
@@ -456,6 +569,7 @@ WORKLOADS: dict[str, Callable[[int], float]] = {
     "trace": bench_trace,
     "cells": bench_cells,
     "consensus": bench_consensus,
+    "timers": bench_timers,
     "merge": bench_merge,
 }
 

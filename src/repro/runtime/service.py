@@ -364,7 +364,9 @@ class DetectorService:
 
     def _notify_if_changed(self, before: frozenset[ProcessId]) -> None:
         after = self.detector.suspects()
-        if after == before:
+        # Cores with cached suspect views return the identical frozenset
+        # while nothing changed, which skips the set comparison.
+        if after is before or after == before:
             return
         for queue in self._watchers:
             queue.put_nowait(after)

@@ -512,7 +512,8 @@ class TimedDriver:
     def on_message(self, src: ProcessId, message: object) -> None:
         before = self.core.suspects()
         effects = self.core.on_message(self.process.scheduler.now, src, message)
-        self.process.execute(effects)
+        if effects:
+            self.process.execute(effects)
         self._rearm()
         self._note_suspicion_change(before)
 
@@ -540,7 +541,8 @@ class TimedDriver:
 
     def _note_suspicion_change(self, before: frozenset) -> None:
         after = self.core.suspects()
-        if before == after:
+        # The baseline cores serve a cached view: unchanged means identical.
+        if before is after or before == after:
             return
         self.process.trace.record_suspicion_change(
             self.process.scheduler.now, self.process.pid, before, after

@@ -29,6 +29,16 @@ class TestRegistry:
         )["floors_kev_per_s"]
         assert floors["consensus"] > 0
 
+    def test_timers_workload_registered_with_a_floor(self):
+        import json
+        from pathlib import Path
+
+        assert "timers" in WORKLOADS
+        floors = json.loads(
+            Path("benchmarks/bench_floors.json").read_text(encoding="utf-8")
+        )["floors_kev_per_s"]
+        assert floors["timers"] > 0
+
     def test_unknown_workload_is_a_clear_error(self):
         with pytest.raises(ConfigurationError, match="no_such_workload"):
             run_microbench(events=EVENTS, only=("no_such_workload",))
